@@ -96,17 +96,20 @@ pub fn group_metrics(net: &Network, group: &[NodeId], cfg: &FusedLayerConfig) ->
     simulate_group_traced(net, group, cfg, 0, &mut NullSink)
 }
 
+/// [`group_metrics`]'s totals, bit for bit, without the per-layer
+/// breakdown (no layer names, no apportionment): what an analytical
+/// screen needs.
+pub fn group_totals(net: &Network, group: &[NodeId], cfg: &FusedLayerConfig) -> RunMetrics {
+    run_group_traced(net, group, cfg, 0, &mut NullSink).0
+}
+
 /// Internal alias kept for the model's own call sites.
 fn simulate_group(net: &Network, group: &[NodeId], cfg: &FusedLayerConfig) -> FusedGroupRun {
     group_metrics(net, group, cfg)
 }
 
-/// [`simulate_group`] with trace emission. Every fused layer is one unit
-/// spanning the whole group run (the layers execute concurrently in the
-/// tile pipeline): its busy time is its ideal MAC share, the dense-array
-/// efficiency loss lands on `MergeBound`, waiting for the *other* fused
-/// layers' tile wavefronts on `InputStarved`, and whatever the memory
-/// bound stretches the group beyond its compute time on `DramThrottled`.
+/// [`simulate_group`] with trace emission: the group totals from
+/// [`run_group_traced`] plus their per-layer breakdown.
 fn simulate_group_traced(
     net: &Network,
     group: &[NodeId],
@@ -114,6 +117,36 @@ fn simulate_group_traced(
     t0: u64,
     sink: &mut dyn TraceSink,
 ) -> FusedGroupRun {
+    let (metrics, shape) = run_group_traced(net, group, cfg, t0, sink);
+    let layers = layer_breakdown(net, group, &shape, &metrics);
+    FusedGroupRun { metrics, layers }
+}
+
+/// What the per-layer breakdown needs from a group run besides its
+/// totals.
+struct GroupShape {
+    /// Dense group input, halo ring included (enters at the first layer).
+    input_bytes: f64,
+    /// Dense group output (leaves at the last layer).
+    output_bytes: f64,
+    /// Halo-inflated MACs per member layer, in group order.
+    macs_per_layer: Vec<f64>,
+}
+
+/// One fused group's totals, with trace emission. Every fused layer is
+/// one unit spanning the whole group run (the layers execute
+/// concurrently in the tile pipeline): its busy time is its ideal MAC
+/// share, the dense-array efficiency loss lands on `MergeBound`, waiting
+/// for the *other* fused layers' tile wavefronts on `InputStarved`, and
+/// whatever the memory bound stretches the group beyond its compute time
+/// on `DramThrottled`.
+fn run_group_traced(
+    net: &Network,
+    group: &[NodeId],
+    cfg: &FusedLayerConfig,
+    t0: u64,
+    sink: &mut dyn TraceSink,
+) -> (RunMetrics, GroupShape) {
     let unit_ids: Vec<UnitId> = group
         .iter()
         .map(|&id| sink.unit(&net.layer(id).name, UnitKind::Layer))
@@ -211,14 +244,33 @@ fn simulate_group_traced(
         }
     }
 
-    // Per-layer breakdown: each fused layer moves its own dense weights;
-    // the group's input (with its halo) enters at the first layer, the
-    // group's output leaves at the last; cycles — a group-shared resource
-    // — are apportioned by each layer's (halo-inflated) MACs, and the
-    // group's busy MAC/DRAM time by MAC/traffic share, water-filled
-    // against the layer's own cycles so the breakdown sums to the group
-    // totals.
-    let layer_cycles = apportion_cycles(m.cycles, &macs_per_layer);
+    let shape = GroupShape {
+        input_bytes,
+        output_bytes,
+        macs_per_layer,
+    };
+    (m, shape)
+}
+
+/// Per-layer breakdown of one fused group run: each fused layer moves
+/// its own dense weights; the group's input (with its halo) enters at
+/// the first layer, the group's output leaves at the last; cycles — a
+/// group-shared resource — are apportioned by each layer's
+/// (halo-inflated) MACs, and the group's busy MAC/DRAM time by
+/// MAC/traffic share, water-filled against the layer's own cycles so the
+/// breakdown sums to the group totals.
+fn layer_breakdown(
+    net: &Network,
+    group: &[NodeId],
+    shape: &GroupShape,
+    m: &RunMetrics,
+) -> Vec<(String, RunMetrics)> {
+    let GroupShape {
+        input_bytes,
+        output_bytes,
+        ref macs_per_layer,
+    } = *shape;
+    let layer_cycles = apportion_cycles(m.cycles, macs_per_layer);
     let caps: Vec<f64> = layer_cycles.iter().map(|&c| c as f64).collect();
     let traffic_per_layer: Vec<f64> = group
         .iter()
@@ -234,11 +286,11 @@ fn simulate_group_traced(
             t
         })
         .collect();
-    let mac_busy = apportion_capped(m.mac_util.busy(), &macs_per_layer, &caps);
+    let mac_busy = apportion_capped(m.mac_util.busy(), macs_per_layer, &caps);
     let bw_busy = apportion_capped(m.bw_util.busy(), &traffic_per_layer, &caps);
-    let layers = group
+    group
         .iter()
-        .zip(&macs_per_layer)
+        .zip(macs_per_layer)
         .zip(&layer_cycles)
         .enumerate()
         .map(|(pos, ((&id, &layer_macs), &cycles))| {
@@ -262,8 +314,7 @@ fn simulate_group_traced(
             lm.charge_compute_activity(layer_macs, 4.0);
             (layer.name.clone(), lm)
         })
-        .collect();
-    FusedGroupRun { metrics: m, layers }
+        .collect()
 }
 
 impl Accelerator for FusedLayerConfig {

@@ -41,5 +41,7 @@ pub use sparten::SpartenConfig;
 
 // Description-referenceable closed forms: the declarative-architecture
 // interpreter in `isos-explore` lowers onto these exact functions.
-pub use fused_layer::{group_metrics as fused_group_metrics, FusedGroupRun};
+pub use fused_layer::{
+    group_metrics as fused_group_metrics, group_totals as fused_group_totals, FusedGroupRun,
+};
 pub use sparten::layer_metrics as sparten_layer_metrics;

@@ -9,7 +9,7 @@
 //! `set_run_threads` is process-wide state, so everything runs inside a
 //! single sequential `#[test]`.
 //!
-//! [`NetworkMetrics`]: isosceles::metrics::NetworkMetrics
+//! [`NetworkMetrics`]: isos_sim::metrics::NetworkMetrics
 //! [`StreamMetrics`]: isos_stream::sched::StreamMetrics
 
 use isos_nn::models::paper_suite;

@@ -15,23 +15,29 @@
 //! [`Accelerator`], so described machines run through the bench suite
 //! engine (and its cache: the cache key hashes the description itself)
 //! exactly like the built-in models. [`ArchAccel::estimate`] produces a
-//! [`NetworkEstimate`] compatible with `explore::model`, which is what
-//! lets the DSE screen thousands of described points analytically.
+//! [`NetworkEstimate`] compatible with `explore::model`; the DSE screen
+//! uses the totals-only [`Lowered::estimate_totals`] instead, which skips
+//! the per-group breakdown and shares one mapping among all IS-OS points
+//! the mapper cannot tell apart ([`MappingMemo`]).
 
 use super::schema::{ArchDesc, ArchError, DataflowStyle, PipelinePolicy, TensorKind};
-use crate::model::{estimate_mapping, GroupEstimate, LayerEstimate, NetworkEstimate};
+use crate::model::{
+    estimate_mapping, estimate_mapping_totals, EstimateTotals, GroupEstimate, GroupTotals,
+    LayerEstimate, LayerTable, NetworkEstimate,
+};
 use isos_baselines::{
-    fused_group_metrics, fused_groups, sparten_layer_metrics, FusedLayerConfig, SpartenConfig,
+    fused_group_metrics, fused_group_totals, fused_groups, sparten_layer_metrics, FusedLayerConfig,
+    SpartenConfig,
 };
 use isos_nn::graph::Network;
 use isos_sim::area::{area_of, AreaConfig, AreaParams};
-use isos_sim::metrics::RunMetrics;
+use isos_sim::metrics::{NetworkMetrics, RunMetrics};
 use isos_trace::TraceSink;
 use isosceles::accel::{stable_key, Accelerator};
 use isosceles::arch::{run_network, run_network_traced};
-use isosceles::mapping::{map_network, ExecMode};
-use isosceles::metrics::NetworkMetrics;
+use isosceles::mapping::{map_network, ExecMode, MapperInputs, Mapping};
 use isosceles::IsoscelesConfig;
+use std::collections::HashMap;
 
 /// A description lowered onto one of the substrate's cost models.
 #[derive(Clone, Debug, PartialEq)]
@@ -48,6 +54,61 @@ pub enum Lowered {
     OutputStationary(SpartenConfig),
     /// Dense fused-tile pipelining (Fused-Layer's closed form).
     FusedTile(FusedLayerConfig),
+}
+
+impl Lowered {
+    /// Analytical totals of the network `table` was derived from, bit
+    /// for bit those of [`ArchAccel::estimate`], without its per-group
+    /// breakdown. IS-OS mappings come from (and go into) `mappings`.
+    pub fn estimate_totals(
+        &self,
+        table: &LayerTable<'_>,
+        mappings: &mut MappingMemo,
+    ) -> EstimateTotals {
+        let net = table.net();
+        match self {
+            Lowered::IsOs { cfg, mode } => {
+                estimate_mapping_totals(table, cfg, mappings.get(net, cfg, *mode))
+            }
+            Lowered::OutputStationary(cfg) => sum_runs(
+                net.nodes()
+                    .iter()
+                    .map(|node| sparten_layer_metrics(&node.layer, cfg)),
+            ),
+            Lowered::FusedTile(cfg) => sum_runs(
+                fused_groups(net, cfg)
+                    .iter()
+                    .map(|group| fused_group_totals(net, group, cfg)),
+            ),
+        }
+    }
+}
+
+/// Folds closed-form group runs, in execution order, into totals.
+fn sum_runs(runs: impl Iterator<Item = RunMetrics>) -> EstimateTotals {
+    runs.fold(EstimateTotals::default(), |mut out, m| {
+        out.add(&GroupTotals::of_run(&m));
+        out
+    })
+}
+
+/// Greedy-mapper plans for one network, one per distinct
+/// ([`MapperInputs`], [`ExecMode`]): design points that differ only in
+/// fields the mapper never reads (bandwidth, merger radix, ...) share a
+/// plan instead of re-running the mapper.
+#[derive(Debug, Default)]
+pub struct MappingMemo {
+    plans: HashMap<(MapperInputs, ExecMode), Mapping>,
+}
+
+impl MappingMemo {
+    /// The plan `map_network(net, cfg, mode)` returns, computed on first
+    /// request. Every call on one memo must pass the same `net`.
+    pub fn get(&mut self, net: &Network, cfg: &IsoscelesConfig, mode: ExecMode) -> &Mapping {
+        self.plans
+            .entry((MapperInputs::of(cfg), mode))
+            .or_insert_with(|| map_network(net, cfg, mode))
+    }
 }
 
 /// Lowers a validated description onto the substrate.
@@ -189,7 +250,7 @@ impl ArchAccel {
         match &self.lowered {
             Lowered::IsOs { cfg, mode } => {
                 let mapping = map_network(net, cfg, *mode);
-                estimate_mapping(net, cfg, &mapping)
+                estimate_mapping(&LayerTable::new(net), cfg, &mapping)
             }
             Lowered::OutputStationary(cfg) => {
                 let mut out = NetworkEstimate::default();
@@ -221,30 +282,7 @@ impl ArchAccel {
     /// constants (merger cost scaled linearly in radix from the
     /// radix-256 anchor, as in [`crate::model::area_mm2`]).
     pub fn area_mm2(&self) -> f64 {
-        let per_lane_bytes: u64 = self
-            .desc
-            .levels
-            .iter()
-            .filter(|l| l.per_lane)
-            .map(|l| l.bytes)
-            .sum();
-        let shared_bytes: u64 = self
-            .desc
-            .levels
-            .iter()
-            .filter(|l| !l.per_lane)
-            .map(|l| l.bytes)
-            .sum();
-        let area_cfg = AreaConfig {
-            lanes: self.desc.compute.lanes as u32,
-            macs_per_lane: self.desc.compute.macs_per_lane as u32,
-            mergers_per_lane: self.desc.compute.mergers_per_lane as u32,
-            lane_sram_kb: (per_lane_bytes / 1024) as u32,
-            filter_buffer_kb: (shared_bytes / 1024) as u32,
-        };
-        let mut params = AreaParams::default();
-        params.merger_mm2 *= self.desc.compute.merger_radix as f64 / 256.0;
-        area_of(&area_cfg, &params).total_mm2()
+        described_area_mm2(&self.desc)
     }
 
     /// Estimated energy per inference in millijoules, from
@@ -252,6 +290,32 @@ impl ArchAccel {
     pub fn energy_mj(&self, net: &Network) -> f64 {
         self.estimate(net).energy_mj(&self.energy_cfg())
     }
+}
+
+/// [`ArchAccel::area_mm2`] of a description, without lowering it.
+pub fn described_area_mm2(desc: &ArchDesc) -> f64 {
+    let per_lane_bytes: u64 = desc
+        .levels
+        .iter()
+        .filter(|l| l.per_lane)
+        .map(|l| l.bytes)
+        .sum();
+    let shared_bytes: u64 = desc
+        .levels
+        .iter()
+        .filter(|l| !l.per_lane)
+        .map(|l| l.bytes)
+        .sum();
+    let area_cfg = AreaConfig {
+        lanes: desc.compute.lanes as u32,
+        macs_per_lane: desc.compute.macs_per_lane as u32,
+        mergers_per_lane: desc.compute.mergers_per_lane as u32,
+        lane_sram_kb: (per_lane_bytes / 1024) as u32,
+        filter_buffer_kb: (shared_bytes / 1024) as u32,
+    };
+    let mut params = AreaParams::default();
+    params.merger_mm2 *= desc.compute.merger_radix as f64 / 256.0;
+    area_of(&area_cfg, &params).total_mm2()
 }
 
 /// Folds one `RunMetrics` group into a [`NetworkEstimate`]. If `layers`
@@ -268,18 +332,15 @@ fn push_metrics_group(
     } else {
         layers
     };
-    let g = GroupEstimate {
+    let t = GroupTotals::of_run(m);
+    out.push(GroupEstimate {
         name,
-        cycles: m.cycles as f64,
-        weight_bytes: m.weight_traffic,
-        act_bytes: m.act_traffic,
-        macs: m.effectual_macs,
+        cycles: t.cycles,
+        weight_bytes: t.weight_bytes,
+        act_bytes: t.act_bytes,
+        macs: t.macs,
         layers,
-    };
-    out.cycles += g.cycles;
-    out.dram_bytes += g.total_bytes();
-    out.macs += g.macs;
-    out.groups.push(g);
+    });
 }
 
 fn layer_estimate_of(name: String, m: &RunMetrics) -> LayerEstimate {

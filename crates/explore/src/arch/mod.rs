@@ -34,7 +34,7 @@ pub mod reference;
 pub mod schema;
 pub mod toml;
 
-pub use lower::{lower, ArchAccel, Lowered};
+pub use lower::{described_area_mm2, lower, ArchAccel, Lowered, MappingMemo};
 pub use schema::{
     ArchDesc, ArchError, BufferLevel, ComputeDesc, DataflowDesc, DataflowStyle, Gating, LoopDim,
     MemoryDesc, PipelinePolicy, TensorBinding, TensorFormat, TensorKind,

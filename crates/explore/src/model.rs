@@ -35,9 +35,10 @@
 //! suite workloads at the default configuration (measured error is a few
 //! percent on most; see DESIGN.md).
 
-use isos_nn::graph::Network;
+use isos_nn::graph::{Network, NodeId};
 use isos_sim::area::{area_of, AreaConfig, AreaParams};
 use isos_sim::energy::{energy_of, Activity, EnergyBreakdown, EnergyParams};
+use isos_sim::metrics::RunMetrics;
 use isosceles::mapping::{map_network, ExecMode, Mapping, PipelineGroup};
 use isosceles::IsoscelesConfig;
 use serde::{Deserialize, Serialize};
@@ -95,6 +96,71 @@ impl GroupEstimate {
     }
 }
 
+/// One group's totals without its name or per-layer breakdown: what a
+/// screen needs from a group.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub struct GroupTotals {
+    /// Estimated execution cycles.
+    pub cycles: f64,
+    /// Off-chip weight traffic in bytes.
+    pub weight_bytes: f64,
+    /// Off-chip activation traffic in bytes.
+    pub act_bytes: f64,
+    /// Effectual MACs.
+    pub macs: f64,
+}
+
+impl GroupTotals {
+    /// The totals of a closed-form model's group run.
+    pub fn of_run(m: &RunMetrics) -> Self {
+        Self {
+            cycles: m.cycles as f64,
+            weight_bytes: m.weight_traffic,
+            act_bytes: m.act_traffic,
+            macs: m.effectual_macs,
+        }
+    }
+}
+
+/// A network estimate's totals without its breakdown: what a screen
+/// ranks on (cycles) and converts to energy (traffic, MACs).
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub struct EstimateTotals {
+    /// Total estimated cycles.
+    pub cycles: f64,
+    /// Total off-chip traffic in bytes.
+    pub dram_bytes: f64,
+    /// Total effectual MACs.
+    pub macs: f64,
+}
+
+impl EstimateTotals {
+    /// Adds one group. Groups must be added in execution order: the
+    /// sums are `f64`, so the order fixes the bits.
+    pub fn add(&mut self, g: &GroupTotals) {
+        self.cycles += g.cycles;
+        self.dram_bytes += g.weight_bytes + g.act_bytes;
+        self.macs += g.macs;
+    }
+
+    /// Activity mirror matching what the simulator reports: DRAM traffic,
+    /// one shared-SRAM (filter buffer) byte per MAC, and a read-modify-
+    /// write of a 2-byte partial in lane-local SRAM per MAC.
+    pub fn activity(&self, cfg: &IsoscelesConfig) -> Activity {
+        Activity {
+            dram_bytes: self.dram_bytes,
+            shared_sram_bytes: self.macs,
+            local_sram_bytes: self.macs * 2.0 * cfg.accumulator_bytes() as f64,
+            macs: self.macs,
+        }
+    }
+
+    /// Estimated energy per inference in millijoules, default constants.
+    pub fn energy_mj(&self, cfg: &IsoscelesConfig) -> f64 {
+        energy_of(&self.activity(cfg), &EnergyParams::default()).total_mj()
+    }
+}
+
 /// Analytical estimate for a whole network under one mapping.
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct NetworkEstimate {
@@ -109,16 +175,35 @@ pub struct NetworkEstimate {
 }
 
 impl NetworkEstimate {
-    /// Activity mirror matching what the simulator reports: DRAM traffic,
-    /// one shared-SRAM (filter buffer) byte per MAC, and a read-modify-
-    /// write of a 2-byte partial in lane-local SRAM per MAC.
-    pub fn activity(&self, cfg: &IsoscelesConfig) -> Activity {
-        Activity {
+    /// The totals, without the breakdown.
+    pub fn totals(&self) -> EstimateTotals {
+        EstimateTotals {
+            cycles: self.cycles,
             dram_bytes: self.dram_bytes,
-            shared_sram_bytes: self.macs,
-            local_sram_bytes: self.macs * 2.0 * cfg.accumulator_bytes() as f64,
             macs: self.macs,
         }
+    }
+
+    /// Appends the next group in execution order, folding it into the
+    /// totals exactly as [`EstimateTotals::add`] does.
+    pub fn push(&mut self, group: GroupEstimate) {
+        let mut totals = self.totals();
+        totals.add(&GroupTotals {
+            cycles: group.cycles,
+            weight_bytes: group.weight_bytes,
+            act_bytes: group.act_bytes,
+            macs: group.macs,
+        });
+        self.cycles = totals.cycles;
+        self.dram_bytes = totals.dram_bytes;
+        self.macs = totals.macs;
+        self.groups.push(group);
+    }
+
+    /// Activity mirror matching what the simulator reports (see
+    /// [`EstimateTotals::activity`]).
+    pub fn activity(&self, cfg: &IsoscelesConfig) -> Activity {
+        self.totals().activity(cfg)
     }
 
     /// Estimated energy per inference.
@@ -128,7 +213,7 @@ impl NetworkEstimate {
 
     /// Estimated energy per inference in millijoules, default constants.
     pub fn energy_mj(&self, cfg: &IsoscelesConfig) -> f64 {
-        self.energy(cfg, &EnergyParams::default()).total_mj()
+        self.totals().energy_mj(cfg)
     }
 
     /// Flattened per-layer estimates across all groups, in execution
@@ -138,12 +223,69 @@ impl NetworkEstimate {
     }
 }
 
-/// Estimates one pipeline group analytically.
-pub fn estimate_group(
-    net: &Network,
+/// The per-layer quantities the group estimator reads, derived once per
+/// network so that every design point screened against it pays table
+/// lookups instead of byte-count arithmetic and consumer scans.
+#[derive(Clone, Debug)]
+pub struct LayerTable<'n> {
+    net: &'n Network,
+    rows: Vec<LayerRow>,
+}
+
+#[derive(Clone, Debug)]
+struct LayerRow {
+    weight_bytes: f64,
+    in_bytes: f64,
+    out_bytes: f64,
+    macs: f64,
+    kernel_r: usize,
+    input_h: usize,
+    consumers: Vec<NodeId>,
+}
+
+impl<'n> LayerTable<'n> {
+    /// Derives the table for `net`.
+    pub fn new(net: &'n Network) -> Self {
+        let mut rows: Vec<LayerRow> = net
+            .nodes()
+            .iter()
+            .map(|node| {
+                let layer = &node.layer;
+                LayerRow {
+                    weight_bytes: layer.weight_csf_bytes(),
+                    in_bytes: layer.in_act_csf_bytes(),
+                    out_bytes: layer.out_act_csf_bytes(),
+                    macs: layer.effectual_macs(),
+                    kernel_r: layer.kind.kernel().0,
+                    input_h: layer.input.h,
+                    consumers: Vec::new(),
+                }
+            })
+            .collect();
+        for (id, node) in net.nodes().iter().enumerate() {
+            for &p in &node.inputs {
+                rows[p].consumers.push(id);
+            }
+        }
+        Self { net, rows }
+    }
+
+    /// The network the table was derived from.
+    pub fn net(&self) -> &'n Network {
+        self.net
+    }
+}
+
+/// Estimates one pipeline group's totals, reporting each member layer's
+/// boundary-crossing activation bytes to `per_layer` in group order.
+/// The one copy of the group arithmetic: [`estimate_group`] adds the
+/// breakdown on top, screens use the totals alone.
+fn group_totals_with(
+    table: &LayerTable<'_>,
     cfg: &IsoscelesConfig,
     group: &PipelineGroup,
-) -> GroupEstimate {
+    mut per_layer: impl FnMut(NodeId, f64),
+) -> GroupTotals {
     let bw = cfg.dram_bytes_per_cycle.max(1e-9);
     let peak = (cfg.total_macs() as f64 * cfg.pe_efficiency).max(1e-9);
     let interval = cfg.scheduler_interval as f64;
@@ -153,53 +295,42 @@ pub fn estimate_group(
     let mut in_bytes = 0.0;
     let mut out_bytes = 0.0;
     let mut seen_ext: Vec<usize> = Vec::new();
-    let mut layer_ests: Vec<LayerEstimate> = Vec::with_capacity(group.layers.len());
 
     for &id in &group.layers {
-        let layer = net.layer(id);
-        let layer_weight = layer.weight_csf_bytes();
-        let layer_macs = layer.effectual_macs();
-        weight_bytes += layer_weight;
-        macs += layer_macs;
+        let row = &table.rows[id];
+        weight_bytes += row.weight_bytes;
+        macs += row.macs;
 
         // External input streams, deduplicated per producer exactly as the
         // simulator's `ext_index` does (network inputs get a synthetic key
         // so two root layers don't share a stream).
-        let (r_kernel, _) = layer.kind.kernel();
-        let halo_frac = if group.p_tiles > 1 && layer.input.h > 0 {
-            ((group.p_tiles - 1) * r_kernel.saturating_sub(1)) as f64 / layer.input.h as f64
+        let halo_frac = if group.p_tiles > 1 && row.input_h > 0 {
+            ((group.p_tiles - 1) * row.kernel_r.saturating_sub(1)) as f64 / row.input_h as f64
         } else {
             0.0
         };
         let scale = group.k_tiles as f64 * (1.0 + halo_frac);
-        let inputs = &net.nodes()[id].inputs;
+        let inputs = &table.net.nodes()[id].inputs;
         let mut layer_act = 0.0;
         if inputs.is_empty() && !seen_ext.contains(&(id + 1_000_000)) {
             seen_ext.push(id + 1_000_000);
-            layer_act += layer.in_act_csf_bytes() * scale;
+            layer_act += row.in_bytes * scale;
         }
         for &p in inputs {
             if !group.layers.contains(&p) && !seen_ext.contains(&p) {
                 seen_ext.push(p);
-                layer_act += layer.in_act_csf_bytes() * scale;
+                layer_act += row.in_bytes * scale;
             }
         }
         in_bytes += layer_act;
 
         // Outputs leaving the group write back to DRAM.
-        let consumers = net.consumers(id);
+        let consumers = &row.consumers;
         if consumers.is_empty() || consumers.iter().any(|c| !group.layers.contains(c)) {
-            let leaving = layer.out_act_csf_bytes();
-            out_bytes += leaving;
-            layer_act += leaving;
+            out_bytes += row.out_bytes;
+            layer_act += row.out_bytes;
         }
-        layer_ests.push(LayerEstimate {
-            name: layer.name.clone(),
-            cycles: 0.0,
-            weight_bytes: layer_weight,
-            act_bytes: layer_act,
-            macs: layer_macs,
-        });
+        per_layer(id, layer_act);
     }
 
     let act_bytes = in_bytes + out_bytes;
@@ -215,26 +346,50 @@ pub fn estimate_group(
     let steady = (t_weights + t_compute.max(t_act)).max(t_mem_total);
     let fill =
         interval * (FILL_BASE_INTERVALS + FILL_PER_LAYER_INTERVALS * group.layers.len() as f64);
-    let cycles = steady + fill;
+    GroupTotals {
+        cycles: steady + fill,
+        weight_bytes,
+        act_bytes,
+        macs,
+    }
+}
+
+/// Estimates one pipeline group analytically.
+pub fn estimate_group(
+    table: &LayerTable<'_>,
+    cfg: &IsoscelesConfig,
+    group: &PipelineGroup,
+) -> GroupEstimate {
+    let mut layers: Vec<LayerEstimate> = Vec::with_capacity(group.layers.len());
+    let t = group_totals_with(table, cfg, group, |id, act_bytes| {
+        let row = &table.rows[id];
+        layers.push(LayerEstimate {
+            name: table.net.layer(id).name.clone(),
+            cycles: 0.0,
+            weight_bytes: row.weight_bytes,
+            act_bytes,
+            macs: row.macs,
+        });
+    });
 
     // Attribute the group's cycles to its layers by MAC share, mirroring
     // the simulator's apportionment of its interval-loop cycles.
-    let n = layer_ests.len().max(1) as f64;
-    for l in &mut layer_ests {
-        l.cycles = if macs > 0.0 {
-            cycles * (l.macs / macs)
+    let n = layers.len().max(1) as f64;
+    for l in &mut layers {
+        l.cycles = if t.macs > 0.0 {
+            t.cycles * (l.macs / t.macs)
         } else {
-            cycles / n
+            t.cycles / n
         };
     }
 
     GroupEstimate {
         name: group.name.clone(),
-        cycles,
-        weight_bytes,
-        act_bytes,
-        macs,
-        layers: layer_ests,
+        cycles: t.cycles,
+        weight_bytes: t.weight_bytes,
+        act_bytes: t.act_bytes,
+        macs: t.macs,
+        layers,
     }
 }
 
@@ -248,17 +403,27 @@ const FILL_PER_LAYER_INTERVALS: f64 = 1.5;
 
 /// Estimates a whole network under an explicit mapping.
 pub fn estimate_mapping(
-    net: &Network,
+    table: &LayerTable<'_>,
     cfg: &IsoscelesConfig,
     mapping: &Mapping,
 ) -> NetworkEstimate {
     let mut out = NetworkEstimate::default();
     for group in &mapping.groups {
-        let g = estimate_group(net, cfg, group);
-        out.cycles += g.cycles;
-        out.dram_bytes += g.total_bytes();
-        out.macs += g.macs;
-        out.groups.push(g);
+        out.push(estimate_group(table, cfg, group));
+    }
+    out
+}
+
+/// [`estimate_mapping`]'s totals, bit for bit, without building the
+/// per-group and per-layer breakdown.
+pub fn estimate_mapping_totals(
+    table: &LayerTable<'_>,
+    cfg: &IsoscelesConfig,
+    mapping: &Mapping,
+) -> EstimateTotals {
+    let mut out = EstimateTotals::default();
+    for group in &mapping.groups {
+        out.add(&group_totals_with(table, cfg, group, |_, _| {}));
     }
     out
 }
@@ -267,7 +432,7 @@ pub fn estimate_mapping(
 /// cycle-level [`Accelerator`](isosceles::accel::Accelerator) impl runs).
 pub fn estimate_network(net: &Network, cfg: &IsoscelesConfig) -> NetworkEstimate {
     let mapping = map_network(net, cfg, ExecMode::Pipelined);
-    estimate_mapping(net, cfg, &mapping)
+    estimate_mapping(&LayerTable::new(net), cfg, &mapping)
 }
 
 /// Derives the area-model configuration for an accelerator config.
@@ -329,6 +494,20 @@ mod tests {
         let flat: usize = est.layers().count();
         let per_group: usize = est.groups.iter().map(|g| g.layers.len()).sum();
         assert_eq!(flat, per_group);
+    }
+
+    #[test]
+    fn totals_only_estimate_is_bit_identical_to_the_full_one() {
+        let cfg = IsoscelesConfig::default();
+        for w in isos_nn::models::paper_suite(1) {
+            let table = LayerTable::new(&w.network);
+            for mode in [ExecMode::Pipelined, ExecMode::SingleLayer] {
+                let mapping = map_network(&w.network, &cfg, mode);
+                let full = estimate_mapping(&table, &cfg, &mapping);
+                let totals = estimate_mapping_totals(&table, &cfg, &mapping);
+                assert_eq!(totals, full.totals(), "{} {mode:?}", w.id);
+            }
+        }
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //! [`ArchAccel::estimate`] and simulating survivors through the same
 //! cached engine (described points cache under their description hash).
 
-use crate::arch::{reference, ArchAccel, ArchError};
-use crate::model::{area_mm2, estimate_network, NetworkEstimate};
+use crate::arch::{described_area_mm2, lower, reference, ArchAccel, ArchError, MappingMemo};
+use crate::model::{area_mm2, estimate_network, LayerTable, NetworkEstimate};
 use crate::pareto::pareto_indices;
 use crate::space::{ArchPoint, DesignPoint, DesignSpace};
 use isos_nn::models::Workload;
@@ -368,21 +368,29 @@ pub fn search_stream(
     }
 }
 
-/// One analytically screened described point.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+/// One analytically screened described point: just what the screen
+/// ranks and filters on. Full estimates are built only for survivors.
+#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct ArchScreenedPoint {
-    /// The candidate description.
-    pub point: ArchPoint,
-    /// Analytical estimate for the workload (via the interpreter).
-    pub estimate: NetworkEstimate,
+    /// Position of the point in the screened slice.
+    pub index: usize,
+    /// Estimated cycles (via the interpreter's analytical model).
+    pub est_cycles: f64,
     /// Total area in mm² at 45 nm, from the described hierarchy.
     pub area_mm2: f64,
     /// Estimated energy per inference in millijoules.
     pub energy_mj: f64,
 }
 
-/// Screens described points against `workload` analytically, sorted by
-/// estimated cycles ascending.
+/// Screens described points against `workload` analytically, stably
+/// sorted by estimated cycles ascending (ties keep slice order).
+///
+/// Each point is lowered by reference and estimated totals-only: the
+/// network's per-layer quantities are derived once ([`LayerTable`]) and
+/// IS-OS points the mapper cannot tell apart share one mapping
+/// ([`MappingMemo`]). Every record equals what
+/// [`ArchAccel::estimate`] and [`ArchAccel::area_mm2`] give for the
+/// point, bit for bit.
 ///
 /// # Errors
 ///
@@ -393,23 +401,25 @@ pub fn screen_arch(
     workload: &Workload,
     points: &[ArchPoint],
 ) -> Result<Vec<ArchScreenedPoint>, ArchError> {
+    let table = LayerTable::new(&workload.network);
+    let mut mappings = MappingMemo::default();
+    // All described datapaths use 16-bit accumulators (the schema does
+    // not parameterize precision), so the default conversion constants
+    // apply to every family.
+    let energy_cfg = IsoscelesConfig::default();
     let mut screened = Vec::with_capacity(points.len());
-    for point in points {
-        let accel = ArchAccel::new(point.desc.clone())
+    for (index, point) in points.iter().enumerate() {
+        let lowered = lower(&point.desc)
             .map_err(|e| ArchError::new(format!("point `{}`: {e}", point.label)))?;
-        let estimate = accel.estimate(&workload.network);
-        // All described datapaths use 16-bit accumulators (the schema
-        // does not parameterize precision), so the default conversion
-        // constants apply to every family.
-        let energy_mj = estimate.energy_mj(&IsoscelesConfig::default());
+        let totals = lowered.estimate_totals(&table, &mut mappings);
         screened.push(ArchScreenedPoint {
-            point: point.clone(),
-            area_mm2: accel.area_mm2(),
-            energy_mj,
-            estimate,
+            index,
+            est_cycles: totals.cycles,
+            area_mm2: described_area_mm2(&point.desc),
+            energy_mj: totals.energy_mj(&energy_cfg),
         });
     }
-    screened.sort_by(|a, b| a.estimate.cycles.total_cmp(&b.estimate.cycles));
+    screened.sort_by(|a, b| a.est_cycles.total_cmp(&b.est_cycles));
     Ok(screened)
 }
 
@@ -493,9 +503,9 @@ pub fn search_arch(
     let over_budget = total - within.len();
 
     let mut survivors: Vec<ArchPoint> = within
-        .into_iter()
+        .iter()
         .take(opts.top_k.max(1))
-        .map(|s| s.point)
+        .map(|s| points[s.index].clone())
         .collect();
     let anchor_desc = reference::isosceles();
     if !survivors.iter().any(|p| p.desc == anchor_desc) {
@@ -585,9 +595,12 @@ mod tests {
         assert_eq!(screened.len(), points.len());
         assert!(screened
             .windows(2)
-            .all(|p| p[0].estimate.cycles <= p[1].estimate.cycles));
+            .all(|p| p[0].est_cycles <= p[1].est_cycles));
         assert!(screened.iter().all(|s| s.area_mm2 > 0.0));
         assert!(screened.iter().all(|s| s.energy_mj > 0.0));
+        let mut indices: Vec<usize> = screened.iter().map(|s| s.index).collect();
+        indices.sort_unstable();
+        assert!(indices.into_iter().eq(0..points.len()));
     }
 
     #[test]

@@ -20,9 +20,9 @@
 //! ```
 
 use crate::mapping::ExecMode;
-use crate::metrics::NetworkMetrics;
 use crate::IsoscelesConfig;
 use isos_nn::graph::Network;
+use isos_sim::metrics::NetworkMetrics;
 use isos_trace::TraceSink;
 
 /// A cycle-level accelerator performance model.

@@ -13,11 +13,11 @@
 use super::scheduler::DynamicScheduler;
 use crate::config::IsoscelesConfig;
 use crate::mapping::{map_network, ExecMode, Mapping, PipelineGroup};
-use crate::metrics::{apportion_capped, apportion_cycles, NetworkMetrics, RunMetrics};
 use isos_nn::graph::{Network, NodeId};
 use isos_nn::work::{layer_work, LayerWork};
 use isos_sim::dram::{exact_recip, throttle};
 use isos_sim::harness::{Grants, MemClient, MemHarness};
+use isos_sim::metrics::{apportion_capped, apportion_cycles, NetworkMetrics, RunMetrics};
 use isos_sim::stats::Utilization;
 use isos_sim::threads::run_threads;
 use isos_trace::{NullSink, StallKind, TraceEvent, TraceSink, UnitId, UnitKind};

@@ -17,13 +17,63 @@ use isos_nn::layer::LayerKind;
 use serde::{Deserialize, Serialize};
 
 /// How the mapper schedules the network.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum ExecMode {
     /// Inter-layer pipelining (full ISOSceles).
     Pipelined,
     /// Layer-by-layer execution with the IS-OS dataflow
     /// (ISOSceles-single, the Fig. 18 ablation).
     SingleLayer,
+}
+
+/// The [`IsoscelesConfig`] fields [`map_network`] reads, and nothing
+/// else: two configs with equal inputs map every network identically.
+///
+/// Explorers that sweep fields the mapper ignores (DRAM bandwidth,
+/// merger radix, MACs per lane, ...) key a memo on this to call the
+/// mapper once per distinct input instead of once per design point.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub struct MapperInputs {
+    lanes: usize,
+    filter_buffer_bytes: u64,
+    /// `filter_buffer_alloc_overhead` by bit pattern, so the key is `Eq`.
+    filter_buffer_alloc_overhead_bits: u64,
+    context_bytes_per_lane: u64,
+    max_contexts: usize,
+    accumulator_bits: u32,
+}
+
+impl MapperInputs {
+    /// The mapper-visible part of `cfg`.
+    pub fn of(cfg: &IsoscelesConfig) -> Self {
+        // Exhaustive on purpose: a new config field must be sorted into
+        // "mapper reads it" or "mapper ignores it" before this compiles.
+        let IsoscelesConfig {
+            lanes,
+            filter_buffer_bytes,
+            filter_buffer_alloc_overhead,
+            context_bytes_per_lane,
+            max_contexts,
+            accumulator_bits,
+            macs_per_lane: _,
+            multiplier_bits: _,
+            queue_bytes_per_lane: _,
+            mergers_per_lane: _,
+            merger_radix: _,
+            dram_bytes_per_cycle: _,
+            frequency_ghz: _,
+            scheduler_interval: _,
+            pe_efficiency: _,
+        } = *cfg;
+        Self {
+            lanes,
+            filter_buffer_bytes,
+            filter_buffer_alloc_overhead_bits: filter_buffer_alloc_overhead.to_bits(),
+            context_bytes_per_lane,
+            max_contexts,
+            accumulator_bits,
+        }
+    }
 }
 
 /// One pipeline: a set of layers co-resident on the IS-OS block.
@@ -773,6 +823,79 @@ mod tests {
             .expect("a pipelined block");
         let rebuilt = PipelineGroup::from_layers(&net, &c, block.layers.clone());
         assert_eq!(rebuilt, *block);
+    }
+
+    #[test]
+    fn mapping_depends_only_on_mapper_inputs() {
+        let base = cfg();
+        // Every field outside `MapperInputs`, each moved well off its
+        // default, one at a time and all together.
+        let mut perturbed = vec![
+            IsoscelesConfig {
+                macs_per_lane: 7,
+                ..base
+            },
+            IsoscelesConfig {
+                multiplier_bits: 4,
+                ..base
+            },
+            IsoscelesConfig {
+                queue_bytes_per_lane: 1 << 10,
+                ..base
+            },
+            IsoscelesConfig {
+                mergers_per_lane: 3,
+                ..base
+            },
+            IsoscelesConfig {
+                merger_radix: 8,
+                ..base
+            },
+            IsoscelesConfig {
+                dram_bytes_per_cycle: 3.5,
+                ..base
+            },
+            IsoscelesConfig {
+                frequency_ghz: 0.25,
+                ..base
+            },
+            IsoscelesConfig {
+                scheduler_interval: 7,
+                ..base
+            },
+            IsoscelesConfig {
+                pe_efficiency: 0.1,
+                ..base
+            },
+        ];
+        perturbed.push(IsoscelesConfig {
+            macs_per_lane: 7,
+            multiplier_bits: 4,
+            queue_bytes_per_lane: 1 << 10,
+            mergers_per_lane: 3,
+            merger_radix: 8,
+            dram_bytes_per_cycle: 3.5,
+            frequency_ghz: 0.25,
+            scheduler_interval: 7,
+            pe_efficiency: 0.1,
+            ..base
+        });
+        for c in &perturbed {
+            assert_eq!(MapperInputs::of(c), MapperInputs::of(&base), "{c:?}");
+        }
+        for w in isos_nn::models::paper_suite(1) {
+            for mode in [ExecMode::Pipelined, ExecMode::SingleLayer] {
+                let want = map_network(&w.network, &base, mode);
+                for c in &perturbed {
+                    assert_eq!(
+                        map_network(&w.network, c, mode),
+                        want,
+                        "{} {mode:?} {c:?}",
+                        w.id
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -30,6 +30,10 @@ echo "==> dse --arch configs/arch --smoke (declarative descriptions)"
 ISOS_CACHE_DIR="${TMPDIR:-/tmp}/isos-check-dse-cache" cargo run --release -q -p isos-explore --bin dse -- \
   --arch configs/arch --smoke --out "${TMPDIR:-/tmp}/isos-check-dse-arch" >/dev/null
 
+echo "==> dse --arch-space --net G58 (full 10,800-point architecture screen)"
+ISOS_CACHE_DIR="${TMPDIR:-/tmp}/isos-check-dse-cache" cargo run --release -q -p isos-explore --bin dse -- \
+  --arch-space --net G58 --out "${TMPDIR:-/tmp}/isos-check-dse-space" >/dev/null
+
 echo "==> trace_run smoke (G58 timeline export)"
 TRACE_OUT="${TMPDIR:-/tmp}/isos-check-traces"
 cargo run --release -q -p isosceles-bench --bin trace_run -- \
